@@ -108,7 +108,7 @@ impl Value {
                     out.push_str("null");
                 }
             }
-            Value::String(s) => serde::escape_str_into(s, out),
+            Value::String(s) => escape_str_into(s, out),
             Value::Array(items) => {
                 out.push('[');
                 for (i, v) in items.iter().enumerate() {
@@ -125,7 +125,7 @@ impl Value {
                     if i > 0 {
                         out.push(',');
                     }
-                    serde::escape_str_into(k, out);
+                    escape_str_into(k, out);
                     out.push(':');
                     v.write_into(out);
                 }
@@ -143,10 +143,23 @@ impl fmt::Display for Value {
     }
 }
 
-impl serde::Serialize for Value {
-    fn serialize_json(&self, out: &mut String) {
-        self.write_into(out);
+/// Append `s` to `out` as a quoted, escaped JSON string.
+fn escape_str_into(s: &str, out: &mut String) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                out.push_str(&format!("\\u{:04x}", c as u32));
+            }
+            c => out.push(c),
+        }
     }
+    out.push('"');
 }
 
 macro_rules! impl_from_uint {
@@ -265,9 +278,9 @@ impl fmt::Display for Error {
 impl std::error::Error for Error {}
 
 /// Serialize `value` as a compact JSON string.
-pub fn to_string<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Error> {
+pub fn to_string(value: &Value) -> Result<String, Error> {
     let mut out = String::new();
-    value.serialize_json(&mut out);
+    value.write_into(&mut out);
     Ok(out)
 }
 
@@ -516,6 +529,13 @@ mod tests {
             to_string(&v).unwrap(),
             r#"{"s":"he said \"hi\"","n":3,"neg":-4,"f":2.5,"b":true,"null":null,"arr":[1,2]}"#
         );
+    }
+
+    #[test]
+    fn strings_escape_and_non_finite_floats_are_null() {
+        assert_eq!(to_string(&json!("a\"b\\c\nd")).unwrap(), r#""a\"b\\c\nd""#);
+        assert_eq!(to_string(&json!("\u{1}")).unwrap(), r#""\u0001""#);
+        assert_eq!(to_string(&json!(f64::NAN)).unwrap(), "null");
     }
 
     #[test]

@@ -34,8 +34,6 @@ use crate::projection::{EdgeProjection, NO_SLOT};
 use crate::wire::WireMsg;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
-use std::ops::Range;
 use std::sync::Arc;
 use twgraph::UGraph;
 
@@ -45,9 +43,6 @@ pub struct NetworkConfig {
     /// Words each edge carries per direction per round (`W`; default 1 —
     /// the classical CONGEST normalization of one O(log n)-bit message).
     pub bandwidth_words: u64,
-    /// Node count above which send/recv phases run on the rayon pool,
-    /// partitioned over edge-balanced node ranges.
-    pub parallel_threshold: usize,
     /// Seed for the unique O(log n)-bit node identifiers.
     pub seed: u64,
 }
@@ -56,7 +51,6 @@ impl Default for NetworkConfig {
     fn default() -> Self {
         NetworkConfig {
             bandwidth_words: 1,
-            parallel_threshold: 2048,
             seed: 0xC0FFEE,
         }
     }
@@ -180,57 +174,8 @@ pub struct Network {
     metrics: Metrics,
     /// Unique random O(log n)-bit node ids (the model's identifiers).
     uids: Vec<u64>,
-    /// Target number of work chunks for the parallel paths.
-    n_chunks: usize,
     arena: MailboxArena,
     phase_log: Vec<PhaseSnapshot>,
-}
-
-/// Split `0..n` into up to `chunks` contiguous ranges of roughly equal
-/// total weight, where `prefix(i)` is the cumulative weight of the first
-/// `i` items. Returns a single range when there is no weight to balance —
-/// in particular a graph with zero edges (or all-isolated vertices) must
-/// not divide by its total edge weight.
-///
-/// Public because the same weight-balanced partitioning drives other
-/// deterministic fan-outs (e.g. `treedec`'s sibling-branch scheduling).
-pub fn balanced_ranges(
-    n: usize,
-    chunks: usize,
-    prefix: impl Fn(usize) -> u64,
-) -> Vec<Range<usize>> {
-    let total = prefix(n);
-    let chunks = chunks.clamp(1, n.max(1));
-    if total == 0 || chunks == 1 || n == 0 {
-        // A single whole-range chunk, not `vec![0; n]`.
-        #[allow(clippy::single_range_in_vec_init)]
-        return vec![0..n];
-    }
-    let mut out = Vec::with_capacity(chunks);
-    let mut start = 0usize;
-    for c in 1..=chunks {
-        let end = if c == chunks {
-            n
-        } else {
-            // Smallest i ≥ start with prefix(i) ≥ c/chunks of the total.
-            let target = total * c as u64 / chunks as u64;
-            let (mut lo, mut hi) = (start, n);
-            while lo < hi {
-                let mid = lo + (hi - lo) / 2;
-                if prefix(mid) < target {
-                    lo = mid + 1;
-                } else {
-                    hi = mid;
-                }
-            }
-            lo
-        };
-        if end > start {
-            out.push(start..end);
-            start = end;
-        }
-    }
-    out
 }
 
 impl Network {
@@ -275,7 +220,6 @@ impl Network {
         let (slot_fwd, slot_rev) = projection.slot_tables();
         debug_assert_eq!(slot_fwd.len(), g.m());
 
-        let n_chunks = std::thread::available_parallelism().map_or(1, |p| p.get()) * 4;
         let arena = MailboxArena {
             slot_words: vec![0u64; projection.n_physical_edges() * 2],
             touched: Vec::new(),
@@ -293,7 +237,6 @@ impl Network {
             cfg,
             metrics: Metrics::default(),
             uids,
-            n_chunks: n_chunks.clamp(1, 256),
             arena,
             phase_log: Vec::new(),
         }
@@ -360,44 +303,19 @@ impl Network {
 
     /// Phase 1: evaluate `send` for every node and append the emitted
     /// messages to the flat staging buffer as `(src, dst, payload)`,
-    /// ordered by source. Above the parallel threshold the nodes are
-    /// partitioned into edge-balanced ranges for the rayon pool.
+    /// ordered by source.
     fn stage_sends<S, M>(
         &self,
         states: &[S],
-        send: &(impl Fn(u32, &S) -> Vec<(u32, M)> + Sync),
+        send: &impl Fn(u32, &S) -> Vec<(u32, M)>,
         stage: &mut Vec<(u32, u32, M)>,
     ) where
-        S: Send + Sync,
         M: WireMsg,
     {
-        let n = states.len();
         stage.clear();
-        if n >= self.cfg.parallel_threshold {
-            // adj_off doubles as the degree prefix sum (edge-balanced split).
-            let adj_off = &self.adj_off;
-            let ranges = balanced_ranges(n, self.n_chunks, |i| adj_off[i] as u64);
-            let parts: Vec<Vec<(u32, u32, M)>> = ranges
-                .into_par_iter()
-                .map(|r| {
-                    let mut buf = Vec::new();
-                    for u in r {
-                        for (v, m) in send(u as u32, &states[u]) {
-                            buf.push((u as u32, v, m));
-                        }
-                    }
-                    buf
-                })
-                .collect();
-            stage.reserve(parts.iter().map(Vec::len).sum());
-            for part in parts {
-                stage.extend(part);
-            }
-        } else {
-            for (u, s) in states.iter().enumerate() {
-                for (v, m) in send(u as u32, s) {
-                    stage.push((u as u32, v, m));
-                }
+        for (u, s) in states.iter().enumerate() {
+            for (v, m) in send(u as u32, s) {
+                stage.push((u as u32, v, m));
             }
         }
     }
@@ -405,14 +323,11 @@ impl Network {
     /// Scoped phase 1: evaluate `send` over the active nodes only
     /// (`states[i]` belongs to `active[i]`). The active list is sorted, so
     /// the stage comes out source-ascending exactly like the dense path.
-    /// Scoped supersteps are small by construction, so this path stays
-    /// sequential — fan-out parallelism belongs to the caller's level, not
-    /// to a near-quiet superstep.
     fn stage_sends_on<S, M>(
         &self,
         active: &[u32],
         states: &[S],
-        send: &(impl Fn(u32, &S) -> Vec<(u32, M)> + Sync),
+        send: &impl Fn(u32, &S) -> Vec<(u32, M)>,
         stage: &mut Vec<(u32, u32, M)>,
     ) where
         M: WireMsg,
@@ -525,10 +440,9 @@ impl Network {
         states: &mut [S],
         stage: &mut Vec<(u32, u32, M)>,
         deliv: &mut Vec<Option<(u32, M)>>,
-        recv: &(impl Fn(u32, &mut S, Inbox<'_, M>) + Sync),
+        recv: &impl Fn(u32, &mut S, Inbox<'_, M>),
     ) -> Result<u64, CongestError>
     where
-        S: Send + Sync,
         M: WireMsg,
     {
         let n = states.len();
@@ -554,40 +468,13 @@ impl Network {
             deliv[p] = Some((u, m));
         }
 
-        // Phase 4: deliver. Parallel path: message-balanced node ranges,
-        // each owning a disjoint window of the delivery buffer.
+        // Phase 4: deliver each node its window of the delivery buffer.
         let inbox_off = &arena.inbox_off;
-        if n >= self.cfg.parallel_threshold {
-            let ranges = balanced_ranges(n, self.n_chunks, |i| inbox_off[i] as u64);
-            let mut jobs = Vec::with_capacity(ranges.len());
-            let mut state_rest = states;
-            let mut deliv_rest = &mut deliv[..];
-            let mut node_base = 0usize;
-            for r in &ranges {
-                let (s_chunk, s_rest) = state_rest.split_at_mut(r.end - r.start);
-                let (d_chunk, d_rest) =
-                    deliv_rest.split_at_mut(inbox_off[r.end] - inbox_off[r.start]);
-                state_rest = s_rest;
-                deliv_rest = d_rest;
-                jobs.push((node_base, s_chunk, d_chunk));
-                node_base = r.end;
-            }
-            jobs.into_par_iter().for_each(|(base, s_chunk, d_chunk)| {
-                let mut rest = d_chunk;
-                for (i, s) in s_chunk.iter_mut().enumerate() {
-                    let v = base + i;
-                    let (window, r) = rest.split_at_mut(inbox_off[v + 1] - inbox_off[v]);
-                    rest = r;
-                    recv(v as u32, s, Inbox { slots: window });
-                }
-            });
-        } else {
-            let mut rest = &mut deliv[..];
-            for (v, s) in states.iter_mut().enumerate() {
-                let (window, r) = rest.split_at_mut(inbox_off[v + 1] - inbox_off[v]);
-                rest = r;
-                recv(v as u32, s, Inbox { slots: window });
-            }
+        let mut rest = &mut deliv[..];
+        for (v, s) in states.iter_mut().enumerate() {
+            let (window, r) = rest.split_at_mut(inbox_off[v + 1] - inbox_off[v]);
+            rest = r;
+            recv(v as u32, s, Inbox { slots: window });
         }
         Ok(rounds)
     }
@@ -602,7 +489,7 @@ impl Network {
         states: &mut [S],
         stage: &mut Vec<(u32, u32, M)>,
         deliv: &mut Vec<Option<(u32, M)>>,
-        recv: &(impl Fn(u32, &mut S, Inbox<'_, M>) + Sync),
+        recv: &impl Fn(u32, &mut S, Inbox<'_, M>),
     ) -> Result<u64, CongestError>
     where
         M: WireMsg,
@@ -664,11 +551,10 @@ impl Network {
     pub fn superstep<S, M>(
         &mut self,
         states: &mut [S],
-        send: impl Fn(u32, &S) -> Vec<(u32, M)> + Sync,
-        recv: impl Fn(u32, &mut S, Inbox<'_, M>) + Sync,
+        send: impl Fn(u32, &S) -> Vec<(u32, M)>,
+        recv: impl Fn(u32, &mut S, Inbox<'_, M>),
     ) -> Result<u64, CongestError>
     where
-        S: Send + Sync,
         M: WireMsg,
     {
         assert_eq!(
@@ -693,11 +579,10 @@ impl Network {
         &mut self,
         active: &[u32],
         states: &mut [S],
-        send: impl Fn(u32, &S) -> Vec<(u32, M)> + Sync,
-        recv: impl Fn(u32, &mut S, Inbox<'_, M>) + Sync,
+        send: impl Fn(u32, &S) -> Vec<(u32, M)>,
+        recv: impl Fn(u32, &mut S, Inbox<'_, M>),
     ) -> Result<u64, CongestError>
     where
-        S: Send + Sync,
         M: WireMsg,
     {
         assert_eq!(
@@ -727,12 +612,11 @@ impl Network {
     pub fn run_until_quiet<S, M>(
         &mut self,
         states: &mut [S],
-        send: impl Fn(u32, &S) -> Vec<(u32, M)> + Sync,
-        recv: impl Fn(u32, &mut S, Inbox<'_, M>) + Sync,
+        send: impl Fn(u32, &S) -> Vec<(u32, M)>,
+        recv: impl Fn(u32, &mut S, Inbox<'_, M>),
         max_supersteps: u64,
     ) -> Result<u64, CongestError>
     where
-        S: Send + Sync,
         M: WireMsg,
     {
         assert_eq!(
@@ -764,12 +648,11 @@ impl Network {
         &mut self,
         active: &[u32],
         states: &mut [S],
-        send: impl Fn(u32, &S) -> Vec<(u32, M)> + Sync,
-        recv: impl Fn(u32, &mut S, Inbox<'_, M>) + Sync,
+        send: impl Fn(u32, &S) -> Vec<(u32, M)>,
+        recv: impl Fn(u32, &mut S, Inbox<'_, M>),
         max_supersteps: u64,
     ) -> Result<u64, CongestError>
     where
-        S: Send + Sync,
         M: WireMsg,
     {
         assert_eq!(
@@ -1051,16 +934,12 @@ mod tests {
     }
 
     #[test]
-    fn parallel_path_handles_zero_edges() {
+    fn superstep_handles_zero_edges() {
         // Regression: a graph with no edges (gnp with p = 0) must not
-        // panic in the edge-partitioned parallel send/recv path.
+        // panic in the send/recv path.
         let g = gnp(64, 0.0, 9);
         assert_eq!(g.m(), 0);
-        let cfg = NetworkConfig {
-            parallel_threshold: 1, // force the parallel path
-            ..Default::default()
-        };
-        let mut net = Network::new(g, cfg);
+        let mut net = Network::new(g, NetworkConfig::default());
         let mut states = vec![0u32; 64];
         let rounds = net
             .superstep(
@@ -1075,40 +954,18 @@ mod tests {
     }
 
     #[test]
-    fn parallel_path_handles_isolated_vertices() {
-        // Isolated vertices next to an active component, through the
-        // parallel path: delivery windows must line up.
+    fn superstep_handles_isolated_vertices() {
+        // Isolated vertices next to an active component: delivery windows
+        // must line up.
         let mut g = twgraph::UGraphBuilder::new(40);
         g.add_edge(0, 1);
         g.add_edge(1, 2);
         let g = g.build();
-        let cfg = NetworkConfig {
-            parallel_threshold: 1,
-            ..Default::default()
-        };
-        let mut net = Network::new(g, cfg);
+        let mut net = Network::new(g, NetworkConfig::default());
         let dists = flood(&mut net, 0);
         assert_eq!(dists[1], Some(1));
         assert_eq!(dists[2], Some(2));
         assert!(dists[3..].iter().all(Option::is_none));
-    }
-
-    #[test]
-    fn parallel_and_sequential_paths_agree() {
-        let g = twgraph::gen::gnp(96, 0.08, 5);
-        let run = |threshold: usize| {
-            let cfg = NetworkConfig {
-                parallel_threshold: threshold,
-                ..Default::default()
-            };
-            let mut net = Network::new(g.clone(), cfg);
-            let dists = flood(&mut net, 0);
-            (dists, *net.metrics())
-        };
-        let (d_seq, m_seq) = run(usize::MAX);
-        let (d_par, m_par) = run(1);
-        assert_eq!(d_seq, d_par);
-        assert_eq!(m_seq, m_par);
     }
 
     #[test]
@@ -1338,20 +1195,5 @@ mod tests {
         assert_eq!(full[7], Some(7));
         let d2 = scoped_flood(&mut net, &[4, 5, 6, 7], 6);
         assert_eq!(d2, vec![Some(2), Some(1), Some(0), Some(1)]);
-    }
-
-    #[test]
-    fn balanced_ranges_cover_and_balance() {
-        // Uniform weights: every chunk within a factor 2 of ideal.
-        let prefix = |i: usize| i as u64;
-        let ranges = balanced_ranges(100, 4, prefix);
-        assert_eq!(ranges.iter().map(|r| r.len()).sum::<usize>(), 100);
-        assert_eq!(ranges.len(), 4);
-        for r in &ranges {
-            assert!(r.len() >= 13 && r.len() <= 50, "unbalanced: {r:?}");
-        }
-        // Degenerate cases.
-        assert_eq!(balanced_ranges(10, 4, |_| 0), vec![0..10]);
-        assert_eq!(balanced_ranges(0, 4, |_| 0), vec![0..0]);
     }
 }

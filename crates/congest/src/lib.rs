@@ -72,7 +72,7 @@ mod metrics;
 mod projection;
 mod wire;
 
-pub use engine::{balanced_ranges, Inbox, InboxIter, Network, NetworkConfig};
+pub use engine::{Inbox, InboxIter, Network, NetworkConfig};
 pub use error::CongestError;
 pub use metrics::{Metrics, MetricsDelta, PhaseSnapshot};
 pub use projection::{EdgeProjection, NO_SLOT};

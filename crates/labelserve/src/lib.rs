@@ -18,7 +18,7 @@
 //!   zero-copy, so a store is built once and served by fresh processes.
 //! * [`engine`] — [`QueryEngine`] answers single, paired, and batched
 //!   queries over a shared store, with a per-shard LRU hot-pair cache
-//!   ([`lru`]) and rayon-parallel batch execution. Thread-safe by
+//!   ([`lru`]); a batch runs on the calling thread. Thread-safe by
 //!   construction; answers are bit-identical with the cache on or off.
 //! * [`versioned`] — [`VersionedEngine`] serves epoch-stamped snapshots:
 //!   queries keep flowing off epoch N while an updated labeling compacts

@@ -27,8 +27,8 @@ struct CcdState {
 pub fn detect_on_with(
     net: &mut Network,
     active: &[u32],
-    is_active: impl Fn(u32) -> bool + Sync,
-    allowed: impl Fn(u32, u32) -> bool + Sync,
+    is_active: impl Fn(u32) -> bool,
+    allowed: impl Fn(u32, u32) -> bool,
 ) -> Result<Vec<u64>, CongestError> {
     let n = net.n();
     let g = net.graph_handle();
@@ -75,7 +75,7 @@ pub fn detect_on_with(
 pub fn detect_on(
     net: &mut Network,
     active: &[u32],
-    allowed: impl Fn(u32, u32) -> bool + Sync,
+    allowed: impl Fn(u32, u32) -> bool,
 ) -> Result<Vec<u64>, CongestError> {
     // Membership mask for O(1) "is my neighbour active" checks.
     let mut is_active = vec![false; net.n()];
@@ -91,7 +91,7 @@ pub fn detect_on(
 pub fn detect(
     net: &mut Network,
     active: &[bool],
-    allowed: impl Fn(u32, u32) -> bool + Sync,
+    allowed: impl Fn(u32, u32) -> bool,
 ) -> Result<Vec<Option<u64>>, CongestError> {
     let n = net.n();
     assert_eq!(active.len(), n);

@@ -61,11 +61,11 @@ struct UpState<V> {
 pub fn upflow<V>(
     net: &mut Network,
     roles: &TreeRoles,
-    init: impl Fn(u32, u32) -> Option<V> + Sync,
-    combine: impl Fn(V, V) -> V + Sync + Send,
+    init: impl Fn(u32, u32) -> Option<V>,
+    combine: impl Fn(V, V) -> V,
 ) -> Result<UpflowResult<V>, CongestError>
 where
-    V: WireMsg + Sync + std::fmt::Debug,
+    V: WireMsg + std::fmt::Debug,
 {
     let n = net.n();
     assert_eq!(roles.roles.len(), n);
@@ -185,10 +185,10 @@ struct DownState<V> {
 pub fn downflow<V>(
     net: &mut Network,
     roles: &TreeRoles,
-    root_items: impl Fn(u32, u32) -> Vec<V> + Sync,
+    root_items: impl Fn(u32, u32) -> Vec<V>,
 ) -> Result<Vec<Vec<(u32, V)>>, CongestError>
 where
-    V: WireMsg + Sync + std::fmt::Debug,
+    V: WireMsg + std::fmt::Debug,
 {
     let n = net.n();
     assert_eq!(roles.roles.len(), n);

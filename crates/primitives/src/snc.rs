@@ -11,11 +11,10 @@ use congest_sim::{CongestError, Inbox, Network, WireMsg};
 pub fn exchange<S, M>(
     net: &mut Network,
     states: &mut [S],
-    build: impl Fn(u32, &S) -> Vec<(u32, M)> + Sync,
-    absorb: impl Fn(u32, &mut S, Inbox<'_, M>) + Sync,
+    build: impl Fn(u32, &S) -> Vec<(u32, M)>,
+    absorb: impl Fn(u32, &mut S, Inbox<'_, M>),
 ) -> Result<u64, CongestError>
 where
-    S: Send + Sync,
     M: WireMsg,
 {
     net.superstep(states, build, absorb)
@@ -25,10 +24,10 @@ where
 /// Returns, per node, the `(neighbor, value)` pairs (sorted by neighbour).
 pub fn share_with_neighbors<V>(
     net: &mut Network,
-    value: impl Fn(u32) -> V + Sync,
+    value: impl Fn(u32) -> V,
 ) -> Result<Vec<Vec<(u32, V)>>, CongestError>
 where
-    V: WireMsg + Sync + std::fmt::Debug,
+    V: WireMsg + std::fmt::Debug,
 {
     let g = net.graph_handle();
     let mut states: Vec<Vec<(u32, V)>> = vec![Vec::new(); net.n()];
